@@ -20,8 +20,8 @@ units (``.../s``) higher is better and the speedup is ``after / before``.
 
 Usage::
 
-    python benchmarks/perf_trajectory.py --record --output BENCH_8.json
-    python benchmarks/perf_trajectory.py --check BENCH_8.json  # CI gate
+    python benchmarks/perf_trajectory.py --record --output BENCH_12.json
+    python benchmarks/perf_trajectory.py --check BENCH_12.json  # CI gate
 
 ``--check`` re-measures on the current machine and fails (exit 1) when any
 bench's speedup drops more than 10% below the committed trajectory
@@ -419,8 +419,8 @@ def main(argv=None) -> int:
         help="re-measure and fail on >10%% regression vs FILE",
     )
     parser.add_argument(
-        "--output", type=Path, default=REPO_ROOT / "BENCH_8.json",
-        help="trajectory file written by --record (default: BENCH_8.json)",
+        "--output", type=Path, default=REPO_ROOT / "BENCH_12.json",
+        help="trajectory file written by --record (default: BENCH_12.json)",
     )
     parser.add_argument(
         "--repeats", type=int, default=5,

@@ -1,13 +1,14 @@
 """PERF — harness performance: throughput of the core algorithms.
 
-Proper pytest-benchmark timing (multiple rounds) of YDS, AVR, BKP, CRCD and
-AVRQ at growing instance sizes.  These are the knobs that bound how large
+Proper pytest-benchmark timing (multiple rounds) of YDS, AVR, BKP, EDF, CRCD
+and AVRQ at growing instance sizes.  These are the knobs that bound how large
 the reproduction experiments can go; regressions here would silently shrink
 the feasible experiment sizes.
 """
 
 import pytest
 
+from repro.core.edf import run_edf
 from repro.core.power import PowerFunction
 from repro.core.profile import SpeedProfile, sum_profiles
 from repro.qbss.avrq import avrq
@@ -37,11 +38,20 @@ def test_perf_avr_profile(benchmark, n):
     assert not profile.is_empty
 
 
-@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("n", [20, 50, 400])
 def test_perf_bkp_profile(benchmark, n):
     jobs = classical(n)
     profile = benchmark(bkp_profile, jobs)
     assert not profile.is_empty
+
+
+@pytest.mark.parametrize("n", [400])
+def test_perf_run_edf(benchmark, n):
+    """EDF realisation of a fixed (BKP) profile: the heap-driven executor."""
+    jobs = classical(n)
+    profile = bkp_profile(jobs)
+    result = benchmark(run_edf, jobs, profile)
+    assert result.feasible
 
 
 @pytest.mark.parametrize("n", [50, 200])

@@ -11,10 +11,15 @@ EDF is optimal for a fixed profile on one machine: if *any* preemptive
 scheduler can finish all jobs under ``s(t)``, EDF can (an exchange argument).
 The executor therefore also doubles as a feasibility oracle for profiles,
 used by property-based tests.
+
+The executor is event driven: a release-sorted pointer feeds a heap keyed
+``(deadline, id)``, and a monotone index finds the next breakpoint, so each
+step costs ``O(log n)`` instead of a rescan of every job and event.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -55,12 +60,19 @@ def run_edf(
     :attr:`EDFResult.unfinished` with their residual work; the schedule still
     contains whatever could be executed before each deadline (work is never
     scheduled outside a job's window).
+
+    Raises :class:`ValueError` when two jobs share an id: work is tracked
+    per id, so a duplicate would silently lose the other job's work.
     """
     schedule = Schedule(machines)
+    by_id: dict[str, Job] = {}
+    for j in jobs:
+        if j.id in by_id:
+            raise ValueError(f"duplicate job id {j.id!r}: EDF tracks work by id")
+        by_id[j.id] = j
     remaining: dict[str, float] = {
         j.id: j.work for j in jobs if j.work > tol
     }
-    by_id: dict[str, Job] = {j.id: j for j in jobs}
 
     if not remaining:
         return EDFResult(schedule)
@@ -75,31 +87,41 @@ def run_edf(
         max(j.deadline for j in jobs),
         profile.end if not profile.is_empty else 0.0,
     )
+    # Jobs enter the ready heap in release order; the heap orders them by
+    # (deadline, id), the EDF priority.  Finished and expired entries are
+    # dropped lazily when they reach the top: t never decreases, so a job
+    # whose deadline has passed never becomes a candidate again.
+    arrivals = sorted((by_id[jid] for jid in remaining), key=lambda j: j.release)
+    ready: list[tuple[float, str]] = []
+    next_arrival = 0
+    next_event = 0
 
     t = events[0]
     while t < horizon - tol and remaining:
         # next structural breakpoint strictly after t (a breakpoint within
         # tolerance of t is handled by the sliver-crediting branch below,
         # which keeps the profile lookup inside the correct segment)
-        nxt = horizon
-        for e in events:
-            if e > t:
-                nxt = e
-                break
+        while next_event < len(events) and events[next_event] <= t:
+            next_event += 1
+        nxt = events[next_event] if next_event < len(events) else horizon
         speed = profile.speed_at(0.5 * (t + nxt))
         # candidates: released, unfinished, deadline not passed
-        cands = [
-            by_id[jid]
-            for jid, rem in remaining.items()
-            if by_id[jid].release <= t + tol and by_id[jid].deadline > t + tol
-        ]
+        while (
+            next_arrival < len(arrivals)
+            and arrivals[next_arrival].release <= t + tol
+        ):
+            arriving = arrivals[next_arrival]
+            heapq.heappush(ready, (arriving.deadline, arriving.id))
+            next_arrival += 1
+        while ready and (ready[0][1] not in remaining or ready[0][0] <= t + tol):
+            heapq.heappop(ready)
         # only exact zero speed means idle: sub-tolerance speeds must still
         # execute sub-tolerance jobs (thresholds would otherwise disagree
         # about which micro-jobs exist)
-        if not cands or speed <= 0.0:
+        if not ready or speed <= 0.0:
             t = nxt
             continue
-        job = min(cands, key=lambda j: (j.deadline, j.id))
+        job = by_id[ready[0][1]]
         rem = remaining[job.id]
         finish_in = rem / speed
         run_until = min(nxt, t + finish_in, job.deadline)

@@ -58,6 +58,13 @@ from .records import TraceOrderError
 
 REPLAY_FORMAT_VERSION = 1
 
+#: Revision of the shard evaluation's numerics, hashed into every shard
+#: cache key.  Bump it when an algorithm's results can change in their last
+#: bits while the package version stays, so that a cache hit still equals a
+#: cold evaluation.  2: BKP's one-sweep window table replaced the
+#: per-midpoint matmul.
+SHARD_NUMERICS_REVISION = 2
+
 #: Shard verdicts: successfully evaluated (any execution mode) = ``ok``;
 #: ``degraded`` = valid result recovered in-process after repeated pool
 #: crashes; ``error``/``timeout`` = no rows for this shard.
@@ -198,12 +205,13 @@ def shard_cache_key(
     Keyed by the serialized jobs themselves (not the trace file or its
     noise parameters): two campaigns that synthesize identical shards
     share cache entries, and any change to a job, the algorithm list,
-    alpha or the package version misses.
+    alpha, the package version or :data:`SHARD_NUMERICS_REVISION` misses.
     """
     material = json.dumps(
         {
             "kind": "trace_shard",
             "replay_version": REPLAY_FORMAT_VERSION,
+            "numerics": SHARD_NUMERICS_REVISION,
             "jobs": shard_doc["instance"]["jobs"],
             "algorithms": list(algorithms),
             "alpha": alpha,

@@ -1,5 +1,6 @@
 """BKP: the intensity maximisation and the e-competitive max speed."""
 
+import json
 import math
 
 import numpy as np
@@ -92,3 +93,16 @@ def test_energy_within_paper_bound(alpha, rng):
 
 def test_empty():
     assert bkp_profile([]).is_empty
+
+
+def test_profile_values_are_python_floats():
+    """Segment endpoints and speeds are plain ``float`` (not ``np.float64``,
+    a float subclass), so profiles serialise like the rest of a report."""
+    rng = np.random.default_rng(7)
+    prof = bkp_profile(random_classical_jobs(rng, 15))
+    assert not prof.is_empty
+    for seg in prof:
+        assert type(seg.start) is float
+        assert type(seg.end) is float
+        assert type(seg.speed) is float
+    assert json.loads(json.dumps([[s.start, s.end, s.speed] for s in prof]))

@@ -90,3 +90,13 @@ def test_multi_machine_placement_argument():
     assert result.schedule.machines == 3
     assert result.schedule.slices(1)
     assert not result.schedule.slices(0)
+
+
+def test_duplicate_job_ids_rejected():
+    """Work is tracked per id: a duplicate id would silently drop the other
+    job's work (1 of 6 units ran, yet the result claimed feasible)."""
+    jobs = [Job(0, 1, 5, "a"), Job(0, 4, 1, "a")]
+    with pytest.raises(ValueError, match="duplicate job id 'a'"):
+        run_edf(jobs, SpeedProfile.constant(0, 4, 1))
+    with pytest.raises(ValueError, match="duplicate job id"):
+        run_edf([Job(0, 1, 1, "a"), Job(2, 3, 0, "a")], SpeedProfile())

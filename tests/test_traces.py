@@ -6,6 +6,7 @@ the replay determinism guarantee — serial, parallel and cached runs
 serialize byte-identically.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -413,6 +414,66 @@ def test_replay_cache_key_covers_alpha(tmp_path):
     _, m1 = _replay_sample(SAMPLE_CSV, tmp_path, alpha=3.0)
     _, m2 = _replay_sample(SAMPLE_CSV, tmp_path, alpha=2.5)
     assert m2.hits == 0  # alpha change must miss
+
+
+def _pre_revision_key(jobs_doc, algorithms, alpha):
+    """A shard cache key as written before ``SHARD_NUMERICS_REVISION``
+    joined the key material."""
+    from repro import __version__
+    from repro.traces.replay import REPLAY_FORMAT_VERSION
+
+    material = json.dumps(
+        {
+            "kind": "trace_shard",
+            "replay_version": REPLAY_FORMAT_VERSION,
+            "jobs": jobs_doc,
+            "algorithms": list(algorithms),
+            "alpha": alpha,
+            "package_version": __version__,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+def test_replay_cache_misses_entries_from_older_numerics(tmp_path):
+    """A cache written by code with other last-bit numerics (same package
+    version) must not answer: warm results stay equal to cold ones."""
+    from repro.core.instance import QBSSInstance
+    from repro.engine.cache import ResultCache
+    from repro.traces import shard_cache_key
+
+    jobs = [_qjob(float(i) * 1.5, span=6.0 + i % 4, i=i) for i in range(16)]
+    algorithms, alpha, window = ("avrq", "bkpq"), 3.0, 10.0
+
+    def replay(**kw):
+        return replay_jobs(
+            iter(jobs), algorithms=algorithms, alpha=alpha,
+            shard_window=window, **kw,
+        )
+
+    cold, _ = replay(cache=False)
+    current, stale = ResultCache(tmp_path / "current"), ResultCache(tmp_path / "stale")
+    _, m_fill = replay(cache_dir=current.root)
+    assert m_fill.misses == m_fill.shards > 1
+    for shard in iter_shards(iter(jobs), window):
+        jobs_doc = rio.qbss_instance_to_dict(QBSSInstance(shard.jobs))["jobs"]
+        key = shard_cache_key({"instance": {"jobs": jobs_doc}}, algorithms, alpha)
+        old_key = _pre_revision_key(jobs_doc, algorithms, alpha)
+        assert old_key != key
+        entry = current.get(key)
+        payload = entry["report"]
+        for row in payload["rows"]:  # last-ulp drift, as older numerics give
+            row["energy"] = math.nextafter(row["energy"], math.inf)
+        stale.put(old_key, "trace-shard", entry["params"], payload, 0.0)
+
+    warm, m_warm = replay(cache_dir=current.root)
+    assert m_warm.hits == m_warm.shards
+    assert _canon(warm) == _canon(cold)
+    old, m_old = replay(cache_dir=stale.root)
+    assert m_old.hits == 0
+    assert _canon(old) == _canon(cold)
 
 
 def test_replay_report_summary_and_render():
