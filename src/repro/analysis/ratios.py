@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
-from ..core.compat import absorb_positional
 from ..core.constants import DEFAULT_ALPHA
 from ..core.instance import QBSSInstance
 from ..core.power import PowerFunction
@@ -64,7 +63,7 @@ class RatioMeasurement:
 def measure(
     algorithm: Algorithm,
     qinstance: QBSSInstance,
-    *args,
+    *,
     alpha: float = DEFAULT_ALPHA,
     exact_multi: bool = False,
     validate: bool = True,
@@ -78,12 +77,6 @@ def measure(
     shared across the algorithms of a replay shard); when omitted, it is
     computed here.
     """
-    alpha, exact_multi, validate = absorb_positional(
-        "measure",
-        args,
-        ("alpha", "exact_multi", "validate"),
-        (alpha, exact_multi, validate),
-    )
     result = _resolve_algorithm(algorithm, alpha)(qinstance)
     if validate:
         result.validate().raise_if_infeasible()
@@ -120,14 +113,11 @@ class RatioSummary:
 def measure_many(
     algorithm: Algorithm,
     instances: Iterable[QBSSInstance],
-    *args,
+    *,
     alpha: float = DEFAULT_ALPHA,
     exact_multi: bool = False,
 ) -> RatioSummary:
     """Measure a batch of instances and aggregate."""
-    alpha, exact_multi = absorb_positional(
-        "measure_many", args, ("alpha", "exact_multi"), (alpha, exact_multi)
-    )
     measurements: list[RatioMeasurement] = [
         measure(algorithm, inst, alpha=alpha, exact_multi=exact_multi)
         for inst in instances

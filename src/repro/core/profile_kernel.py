@@ -3,18 +3,17 @@
 This module is the hot path under every benchmark in ``benchmarks/``: the
 :class:`~repro.core.profile.SpeedProfile` algebra (pointwise sum, scale,
 restriction), the energy integral ``E = integral s(t)**alpha dt``, batched
-``work_in`` interval queries, and the per-shard clairvoyant baselines of
-trace replay all bottom out here.  Profiles are represented as parallel
+``work_in`` interval queries, and YDS's compressed-timeline endpoints
+all bottom out here.  Profiles are represented as parallel
 breakpoint arrays ``(starts, ends, speeds)`` — one float64 entry per
 positive-speed segment, sorted and non-overlapping — and every operation
 is a handful of numpy array passes instead of a Python loop over
 :class:`~repro.core.profile.Segment` objects.
 
 **Determinism contract.**  Every kernel operation reproduces the
-pure-Python reference arithmetic *bit for bit*, so kernel-backed replay
+pure-Python segment-loop arithmetic *bit for bit*, so kernel-backed replay
 reports and cached engine entries are byte-identical to the pre-kernel
-ones (pinned by ``tests/test_profile_kernel.py``).  Three rules make that
-possible:
+ones.  Three rules make that possible:
 
 * sums use :func:`sequential_sum` (``np.cumsum`` is a left-to-right
   scan, unlike ``np.sum``'s pairwise reduction, so it matches Python's
@@ -24,16 +23,15 @@ possible:
 * elementwise ``+ - * max min`` and ``searchsorted``/``bisect`` are
   exact, so broadcasting them is free.
 
-The kernel can be switched off at runtime with :func:`pure_python` —
-:class:`~repro.core.profile.SpeedProfile` then falls back to the original
-segment-loop implementations.  The equality suite and the replay
-byte-identity test both diff the two modes.
+The segment loops themselves live on only as the test oracle
+(``tests/_oracles.py``): its ``reference_mode()`` swaps them in, and the
+equality suite and the replay byte-identity test in
+``tests/test_profile_kernel.py`` diff the two.
 """
 
 from __future__ import annotations
 
-import contextlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,31 +41,6 @@ from .constants import EPS
 #: ``speeds`` (float64, equal length, sorted by start, non-overlapping,
 #: all speeds strictly positive).
 ProfileArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-_KERNEL_ENABLED: bool = True
-
-
-def kernel_enabled() -> bool:
-    """Whether profile operations dispatch to the numpy kernel."""
-    return _KERNEL_ENABLED
-
-
-@contextlib.contextmanager
-def pure_python() -> Iterator[None]:
-    """Context manager: force the pure-Python reference implementations.
-
-    Used by the equality/byte-identity tests and the perf-trajectory
-    recorder to measure the pre-kernel code paths.  Not thread safe (it
-    flips a module global) — test/bench use only.
-    """
-    global _KERNEL_ENABLED
-    previous = _KERNEL_ENABLED
-    _KERNEL_ENABLED = False
-    try:
-        yield
-    finally:
-        _KERNEL_ENABLED = previous
-
 
 def empty_arrays() -> ProfileArrays:
     """The empty profile's array triple."""
@@ -301,41 +274,3 @@ def sum_arrays(arrays_list: Sequence[ProfileArrays]) -> ProfileArrays:
 def max_arrays(arrays_list: Sequence[ProfileArrays]) -> ProfileArrays:
     """Pointwise maximum of many profiles."""
     return _combine(arrays_list, pointwise_max=True)
-
-
-# -- batched clairvoyant baselines ---------------------------------------------------
-
-
-def shard_clairvoyant_values(
-    releases: Sequence[float] | np.ndarray,
-    deadlines: Sequence[float] | np.ndarray,
-    loads: Sequence[float] | np.ndarray,
-    alpha: float,
-) -> tuple[float, float]:
-    """Single-machine clairvoyant optimum of one shard, values only.
-
-    Takes the shard's derived classical loads ``p* = min(w, c + w*)`` as
-    flat arrays and returns ``(optimal_energy, optimal_max_speed)`` via
-    the discovery-only YDS loop — no EDF realization, no
-    :class:`~repro.core.schedule.Schedule` objects, and the compressed
-    timeline arithmetic runs through :meth:`TimelineCompressor.compress_many
-    <repro.speed_scaling.yds.TimelineCompressor.compress_many>` in one
-    vectorized pass per iteration.  Bit-identical to
-    ``yds(jobs).profile`` energy/max-speed.
-    """
-    from .job import Job
-    from .power import PowerFunction
-    from ..speed_scaling.yds import yds_profile
-
-    rel = as_float_array(releases)
-    dls = as_float_array(deadlines)
-    wks = as_float_array(loads)
-    jobs = [
-        Job(r, d, w, str(i))
-        for i, (r, d, w) in enumerate(zip(rel.tolist(), dls.tolist(), wks.tolist()))
-    ]
-    profile = yds_profile(jobs)
-    return (
-        profile.energy(PowerFunction(alpha)),
-        profile.max_speed(),
-    )

@@ -1,9 +1,9 @@
 """Content-addressed on-disk cache for experiment reports.
 
 A cache entry is keyed by the SHA-256 of ``(experiment name, resolved
-kwargs, package version)`` — the *resolved* kwargs, i.e. signature defaults
-merged with overrides, so explicitly passing a default value hits the same
-entry as omitting it.  Entries are versioned JSON documents written
+kwargs, package version, numerics revision)`` — the *resolved* kwargs,
+i.e. signature defaults merged with overrides, so explicitly passing a
+default value hits the same entry as omitting it.  Entries are versioned JSON documents written
 atomically; a corrupt or wrong-version file is treated as a miss, never an
 error.
 
@@ -39,6 +39,13 @@ from .. import __version__ as PACKAGE_VERSION
 
 CACHE_FORMAT_VERSION = 1
 
+#: Revision of the algorithms' numerics, hashed into every experiment and
+#: trace-shard cache key.  Bump it when an algorithm's results can change
+#: in their last bits while the package version stays, so that a cache hit
+#: still equals a cold evaluation.  2: BKP's one-sweep window table
+#: replaced the per-midpoint matmul.
+NUMERICS_REVISION = 2
+
 #: Subdirectory of the cache root that corrupt entries are moved into.
 QUARANTINE_DIRNAME = "quarantine"
 
@@ -65,14 +72,16 @@ def cache_key(
 
     ``resolved_kwargs`` must already be in JSON form (the ``resolved`` dict
     of :func:`repro.analysis.experiments.resolve_kwargs`); any change to the
-    experiment name, a parameter value, or the package version changes the
-    key, which is what invalidates stale entries across releases.
+    experiment name, a parameter value, the package version or
+    :data:`NUMERICS_REVISION` changes the key, which is what invalidates
+    stale entries across releases and numerics changes.
     """
     material = json.dumps(
         {
             "experiment": experiment,
             "kwargs": resolved_kwargs,
             "package_version": package_version or PACKAGE_VERSION,
+            "numerics": NUMERICS_REVISION,
         },
         sort_keys=True,
         separators=(",", ":"),

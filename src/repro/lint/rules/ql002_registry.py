@@ -3,10 +3,9 @@
 Every callable registered in ``repro.qbss.ALGORITHMS`` is dispatched by
 name through ``run_algorithm`` with the uniform keyword set, so each one
 must take exactly one positional parameter (the instance, ``qi`` /
-``qinstance``), no positional defaults, and keyword-only everything else
-(a bare ``*args`` shim for the deprecated positional forms is allowed).
-A runner that silently accepts positional extras re-opens the
-keyword-mismatch bugs the PR-1 registry removed.
+``qinstance``), no positional defaults, no ``*args`` and keyword-only
+everything else.  A runner that silently accepts positional extras
+re-opens the keyword-mismatch bugs the registry exists to prevent.
 """
 
 from __future__ import annotations
@@ -213,4 +212,10 @@ def _signature_violations(
         yield (
             f"registered algorithm `{func.name}` has positional defaults; "
             "defaults belong on keyword-only parameters"
+        )
+    if args.vararg is not None:
+        yield (
+            f"registered algorithm `{func.name}` accepts "
+            f"`*{args.vararg.arg}`; positional extras must be a TypeError, "
+            "expected (qi, *, ...)"
         )

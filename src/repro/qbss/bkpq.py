@@ -13,7 +13,6 @@ energy and ``(2+phi) e``-competitive for maximum speed (Corollary 5.5).
 
 from __future__ import annotations
 
-from ..core.compat import absorb_positional
 from ..core.edf import run_edf
 from ..core.instance import QBSSInstance
 from ..speed_scaling.bkp import bkp_profile
@@ -25,7 +24,7 @@ from .transform import derive_online
 
 def bkpq(
     qinstance: QBSSInstance,
-    *args,
+    *,
     query_policy: QueryPolicy | None = None,
     split_policy=None,
 ) -> QBSSResult:
@@ -34,9 +33,6 @@ def bkpq(
     ``query_policy`` defaults to the golden-ratio rule and ``split_policy``
     to the equal window; the ablation benches inject alternatives.
     """
-    query_policy, split_policy = absorb_positional(
-        "bkpq", args, ("query_policy", "split_policy"), (query_policy, split_policy)
-    )
     if qinstance.machines != 1:
         raise ValueError("bkpq is a single-machine algorithm")
     policy = query_policy or golden_ratio_policy()

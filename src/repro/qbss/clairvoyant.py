@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.compat import absorb_positional
 from ..core.constants import DEFAULT_ALPHA
 from ..core.instance import Instance, QBSSInstance
 from ..core.power import PowerFunction
@@ -44,7 +43,7 @@ class ClairvoyantBaseline:
 
 def clairvoyant(
     qinstance: QBSSInstance,
-    *args,
+    *,
     alpha: float = DEFAULT_ALPHA,
     exact_multi: bool = False,
 ) -> ClairvoyantBaseline:
@@ -55,9 +54,6 @@ def clairvoyant(
     valid — measured ratios become conservative *upper* estimates);
     ``exact_multi=True`` solves the convex program instead (small n only).
     """
-    alpha, exact_multi = absorb_positional(
-        "clairvoyant", args, ("alpha", "exact_multi"), (alpha, exact_multi)
-    )
     star = qinstance.clairvoyant_instance()
     if qinstance.machines == 1:
         result = yds(list(star.jobs))

@@ -15,7 +15,6 @@ measured ratios in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from ..core.compat import absorb_positional
 from ..core.instance import QBSSInstance
 from ..speed_scaling.oa import oa
 from .avrq import check_queries_complete
@@ -26,7 +25,7 @@ from .transform import derive_online
 
 def oaq(
     qinstance: QBSSInstance,
-    *args,
+    *,
     query_policy: QueryPolicy | None = None,
     split_policy=None,
 ) -> QBSSResult:
@@ -35,9 +34,6 @@ def oaq(
     ``query_policy`` defaults to the golden-ratio rule and ``split_policy``
     to the equal window (the same defaults BKPQ uses).
     """
-    (query_policy,) = absorb_positional(
-        "oaq", args, ("query_policy",), (query_policy,)
-    )
     if qinstance.machines != 1:
         raise ValueError("oaq is a single-machine algorithm")
     policy = query_policy or golden_ratio_policy()

@@ -8,7 +8,6 @@ no bound is claimed; the multi-machine bench compares it against AVRQ(m).
 
 from __future__ import annotations
 
-from ..core.compat import absorb_positional
 from ..core.constants import DEFAULT_ALPHA
 from ..core.instance import QBSSInstance
 from ..speed_scaling.multi.oa_m import oa_m
@@ -20,7 +19,7 @@ from .transform import derive_online
 
 def oaq_m(
     qinstance: QBSSInstance,
-    *args,
+    *,
     alpha: float = DEFAULT_ALPHA,
     query_policy: QueryPolicy | None = None,
     split_policy=None,
@@ -30,9 +29,6 @@ def oaq_m(
     ``alpha`` parameterises the per-arrival energy-optimal replanning (the
     plan depends on the power exponent, unlike AVR's densities).
     """
-    alpha, query_policy = absorb_positional(
-        "oaq_m", args, ("alpha", "query_policy"), (alpha, query_policy)
-    )
     m = qinstance.machines
     policy = query_policy or golden_ratio_policy()
     derived = derive_online(qinstance, policy, split_policy or EqualWindowSplit())

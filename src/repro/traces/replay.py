@@ -50,6 +50,7 @@ from ..engine.faults import (
     installed_fault_plan,
     torn_write_entry,
 )
+from ..engine.cache import NUMERICS_REVISION
 from ..engine.runner import _UNSET, HardenedTask
 from ..engine.session import ExecutionSession
 from .checkpoint import ReplayCheckpoint
@@ -57,13 +58,6 @@ from ..qbss.registry import get_algorithm
 from .records import TraceOrderError
 
 REPLAY_FORMAT_VERSION = 1
-
-#: Revision of the shard evaluation's numerics, hashed into every shard
-#: cache key.  Bump it when an algorithm's results can change in their last
-#: bits while the package version stays, so that a cache hit still equals a
-#: cold evaluation.  2: BKP's one-sweep window table replaced the
-#: per-midpoint matmul.
-SHARD_NUMERICS_REVISION = 2
 
 #: Shard verdicts: successfully evaluated (any execution mode) = ``ok``;
 #: ``degraded`` = valid result recovered in-process after repeated pool
@@ -205,13 +199,14 @@ def shard_cache_key(
     Keyed by the serialized jobs themselves (not the trace file or its
     noise parameters): two campaigns that synthesize identical shards
     share cache entries, and any change to a job, the algorithm list,
-    alpha, the package version or :data:`SHARD_NUMERICS_REVISION` misses.
+    alpha, the package version or
+    :data:`~repro.engine.cache.NUMERICS_REVISION` misses.
     """
     material = json.dumps(
         {
             "kind": "trace_shard",
             "replay_version": REPLAY_FORMAT_VERSION,
-            "numerics": SHARD_NUMERICS_REVISION,
+            "numerics": NUMERICS_REVISION,
             "jobs": shard_doc["instance"]["jobs"],
             "algorithms": list(algorithms),
             "alpha": alpha,
@@ -232,15 +227,13 @@ def _evaluate_shard(
     payload so cached and fresh results are indistinguishable.
     """
     from ..analysis.ratios import measure
-    from ..core.profile_kernel import kernel_enabled
     from ..io import qbss_instance_from_dict
     from ..qbss.clairvoyant import clairvoyant_values
 
     qi = qbss_instance_from_dict(shard_doc["instance"])
     # One clairvoyant baseline serves every algorithm of the shard (the
-    # values are identical per algorithm anyway).  Gated on the kernel flag
-    # so pure_python() reproduces the pre-kernel call graph exactly.
-    baseline = clairvoyant_values(qi, alpha=alpha) if kernel_enabled() else None
+    # values are identical per algorithm anyway).
+    baseline = clairvoyant_values(qi, alpha=alpha)
     rows = []
     for name in algorithms:
         m = measure(name, qi, alpha=alpha, baseline=baseline)

@@ -1,6 +1,6 @@
 """Reference implementations kept as test oracles.
 
-These are the straightforward versions of two library hot paths, kept
+These are the straightforward versions of the library hot paths, kept
 verbatim in behaviour so that the optimised code in ``repro`` can be
 checked against them on generated instances:
 
@@ -8,21 +8,31 @@ checked against them on generated instances:
   (t1 x jobs) @ (jobs x t2) matmul per instant, evaluated at every
   event midpoint;
 * :func:`run_edf` — EDF realisation that rescans every remaining job for
-  candidates and walks the event list from the start at every step.
+  candidates and walks the event list from the start at every step;
+* :func:`reference_mode` — the segment-loop profile algebra that the
+  numpy kernel (:mod:`repro.core.profile_kernel`) replaced, swapped in
+  for the production ``SpeedProfile``/``Schedule`` methods,
+  ``sum_profiles``/``max_profiles`` and YDS's ``_max_intensity``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import contextlib
+import importlib
+from collections.abc import Iterator, Sequence
+from unittest import mock
 
 import numpy as np
 
+from repro.core import profile_kernel as _pk
 from repro.core.constants import E_CONST, EPS
 from repro.core.edf import EDFResult
 from repro.core.job import Job
+from repro.core.power import PowerFunction
 from repro.core.profile import Segment, SpeedProfile
 from repro.core.schedule import Schedule
 from repro.core.timeline import dedupe_times
+from repro.speed_scaling.yds import TimelineCompressor, _densest_window
 
 
 def bkp_intensity_at(jobs: Sequence[Job], t: float) -> float:
@@ -136,3 +146,238 @@ def run_edf(
     dust = tol * (1.0 + len(events) * profile.max_speed())
     unfinished = {jid: rem for jid, rem in remaining.items() if rem > dust}
     return EDFResult(schedule, unfinished)
+
+
+# -- the segment-loop profile algebra ----------------------------------------------
+
+
+class _SpeedProfileReference:
+    """Segment-loop bodies of the kernel-backed :class:`SpeedProfile` methods."""
+
+    @classmethod
+    def from_breakpoints(
+        cls, *, times: Sequence[float], speeds: Sequence[float]
+    ) -> SpeedProfile:
+        if len(speeds) != len(times) - 1:
+            raise ValueError("need exactly one speed per consecutive breakpoint pair")
+        segs = [
+            Segment(a, b, v)
+            for a, b, v in zip(times, times[1:], speeds)
+            if v > 0
+        ]
+        return cls(segs)
+
+    @classmethod
+    def from_segments(
+        cls,
+        *,
+        starts: Sequence[float],
+        ends: Sequence[float],
+        speeds: Sequence[float],
+    ) -> SpeedProfile:
+        if not (len(starts) == len(ends) == len(speeds)):
+            raise ValueError("starts, ends and speeds must have equal length")
+        return cls(
+            Segment(a, b, v) for a, b, v in zip(starts, ends, speeds)
+        )
+
+    def speeds_at(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
+        return _pk.as_float_array([self.speed_at(float(t)) for t in times])
+
+    def breakpoints(self) -> list[float]:
+        raw = sorted(
+            {seg.start for seg in self._segments}
+            | {seg.end for seg in self._segments}
+        )
+        pts: list[float] = []
+        for t in raw:
+            if not pts or t - pts[-1] > EPS:
+                pts.append(t)
+        return pts
+
+    def total_work(self) -> float:
+        return sum(seg.work for seg in self._segments)
+
+    def work_in(self, start: float, end: float) -> float:
+        if end <= start:
+            return 0.0
+        total = 0.0
+        for seg in self._segments:
+            lo = max(seg.start, start)
+            hi = min(seg.end, end)
+            if hi > lo:
+                total += seg.speed * (hi - lo)
+        return total
+
+    def work_in_many(
+        self,
+        starts: Sequence[float] | np.ndarray,
+        ends: Sequence[float] | np.ndarray,
+    ) -> np.ndarray:
+        return _pk.as_float_array(
+            [self.work_in(float(a), float(b)) for a, b in zip(starts, ends)]
+        )
+
+    def max_speed(self) -> float:
+        return max((seg.speed for seg in self._segments), default=0.0)
+
+    def energy(self, power: PowerFunction) -> float:
+        return sum(power.energy(seg.speed, seg.duration) for seg in self._segments)
+
+    def scale(self, factor: float) -> SpeedProfile:
+        if factor < 0:
+            raise ValueError(f"scale factor must be >= 0, got {factor}")
+        return SpeedProfile(
+            Segment(s.start, s.end, factor * s.speed) for s in self._segments
+        )
+
+    def restrict(self, start: float, end: float) -> SpeedProfile:
+        segs = []
+        for seg in self._segments:
+            lo = max(seg.start, start)
+            hi = min(seg.end, end)
+            if hi > lo:
+                segs.append(Segment(lo, hi, seg.speed))
+        return SpeedProfile(segs)
+
+    def shift(self, delta: float) -> SpeedProfile:
+        return SpeedProfile(
+            Segment(s.start + delta, s.end + delta, s.speed) for s in self._segments
+        )
+
+    def dominates(self, other: SpeedProfile, tol: float = EPS) -> bool:
+        pts = sorted(set(self.breakpoints()) | set(other.breakpoints()))
+        for a, b in zip(pts, pts[1:]):
+            mid = 0.5 * (a + b)
+            if self.speed_at(mid) < other.speed_at(mid) - tol:
+                return False
+        return True
+
+
+def sum_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
+    """Pointwise sum, one ``speed_at`` sum per breakpoint interval."""
+    pts: list[float] = []
+    for p in profiles:
+        for seg in p.segments:
+            pts.append(seg.start)
+            pts.append(seg.end)
+    if not pts:
+        return SpeedProfile()
+    uniq = sorted(set(pts))
+    # collapse numerically-equal points
+    collapsed: list[float] = [uniq[0]]
+    for t in uniq[1:]:
+        if t - collapsed[-1] > EPS:
+            collapsed.append(t)
+    segs = []
+    for a, b in zip(collapsed, collapsed[1:]):
+        mid = 0.5 * (a + b)
+        speed = sum(p.speed_at(mid) for p in profiles)
+        if speed > 0:
+            segs.append(Segment(a, b, speed))
+    return SpeedProfile(segs)
+
+
+def max_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
+    """Pointwise maximum, one ``speed_at`` max per breakpoint interval."""
+    pts: list[float] = []
+    for p in profiles:
+        for seg in p.segments:
+            pts.append(seg.start)
+            pts.append(seg.end)
+    if not pts:
+        return SpeedProfile()
+    uniq = sorted(set(pts))
+    collapsed: list[float] = [uniq[0]]
+    for t in uniq[1:]:
+        if t - collapsed[-1] > EPS:
+            collapsed.append(t)
+    segs = []
+    for a, b in zip(collapsed, collapsed[1:]):
+        mid = 0.5 * (a + b)
+        speed = max((p.speed_at(mid) for p in profiles), default=0.0)
+        if speed > 0:
+            segs.append(Segment(a, b, speed))
+    return SpeedProfile(segs)
+
+
+def schedule_energy(self: Schedule, power: PowerFunction) -> float:
+    """:meth:`Schedule.energy` as a sum over slices."""
+    return sum(
+        power.energy(s.speed, s.duration)
+        for per in self._slices
+        for s in per
+    )
+
+
+def schedule_max_speed(self: Schedule) -> float:
+    """:meth:`Schedule.max_speed` as a max over slices."""
+    return max(
+        (s.speed for per in self._slices for s in per), default=0.0
+    )
+
+
+def max_intensity(
+    jobs: Sequence[Job], compressor: TimelineCompressor
+) -> tuple[float, float, float, list[Job], list[tuple[float, float]]] | None:
+    """YDS's ``_max_intensity`` with scalar ``compress`` and ``dedupe_times``."""
+    comp_r = np.array([compressor.compress(j.release) for j in jobs])
+    comp_d = np.array([compressor.compress(j.deadline) for j in jobs])
+    starts = np.array(dedupe_times(comp_r))
+    ends = np.array(dedupe_times(comp_d))
+    return _densest_window(jobs, comp_r, comp_d, starts, ends)
+
+
+#: Every ``repro`` module that binds ``sum_profiles`` / ``max_profiles``
+#: at import time (``tests/test_profile_kernel.py`` checks the list is
+#: complete).
+SUM_PROFILES_MODULES = (
+    "repro.core.profile",
+    "repro.core",
+    "repro.speed_scaling.avr",
+    "repro.qbss.crp2d",
+)
+MAX_PROFILES_MODULES = ("repro.core.profile", "repro.core")
+
+
+def _reference_swaps() -> list[tuple[object, str, object]]:
+    swaps: list[tuple[object, str, object]] = [
+        (SpeedProfile, name, attr)
+        for name, attr in vars(_SpeedProfileReference).items()
+        if callable(attr) or isinstance(attr, classmethod)
+    ]
+    swaps += [
+        (Schedule, "energy", schedule_energy),
+        (Schedule, "max_speed", schedule_max_speed),
+        (
+            importlib.import_module("repro.speed_scaling.yds"),
+            "_max_intensity",
+            max_intensity,
+        ),
+    ]
+    # importlib, not ``from package import module``: in ``repro.qbss`` and
+    # ``repro.speed_scaling`` the function of that name shadows the module.
+    swaps += [
+        (importlib.import_module(m), "sum_profiles", sum_profiles)
+        for m in SUM_PROFILES_MODULES
+    ]
+    swaps += [
+        (importlib.import_module(m), "max_profiles", max_profiles)
+        for m in MAX_PROFILES_MODULES
+    ]
+    return swaps
+
+
+@contextlib.contextmanager
+def reference_mode() -> Iterator[None]:
+    """Run the body on the segment-loop algebra instead of the kernel.
+
+    Patches the production bindings in place, so it is not thread safe and
+    is for tests and benches only.  A module first imported *inside* the
+    block binds the reference functions for good; import what you need
+    before entering.
+    """
+    with contextlib.ExitStack() as stack:
+        for target, name, value in _reference_swaps():
+            stack.enter_context(mock.patch.object(target, name, value))
+        yield

@@ -1,8 +1,12 @@
-"""QL002 bad fixture: registered runner with positional extras/defaults."""
+"""QL002 bad fixture: registered runners with positional extras/defaults."""
 
 
 def crummy(qi, extra, alpha=2.0):
     return (qi, extra, alpha)
 
 
-ALGORITHMS = {"crummy": crummy}
+def shim(qi, *args, alpha=2.0, query_policy=None):
+    return (qi, args, alpha, query_policy)
+
+
+ALGORITHMS = {"crummy": crummy, "shim": shim}

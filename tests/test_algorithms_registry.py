@@ -4,14 +4,19 @@ import inspect
 
 import pytest
 
-from repro.analysis.ratios import measure
+from repro.analysis.ratios import measure, measure_many
+from repro.core.profile import SpeedProfile
 from repro.qbss import (
     ALGORITHMS,
     avrq,
     bkpq,
     clairvoyant,
+    crad,
+    crcd,
+    crp2d,
     get_algorithm,
     incremental_profile,
+    oaq,
     oaq_m,
     run_algorithm,
     verify_causality,
@@ -29,6 +34,24 @@ INSTANCE_FOR = {
     "avrq_m": lambda: generators.multi_machine_instance(6, 2, seed=0),
     "avrq_nm": lambda: generators.multi_machine_instance(6, 2, seed=0),
     "oaq_m": lambda: generators.multi_machine_instance(6, 2, seed=0),
+}
+
+#: Every entry point that once took its options positionally, called with
+#: one positional argument past its fixed parameters.
+ONE_POSITIONAL_TOO_MANY = {
+    "avrq": lambda: avrq(INSTANCE_FOR["avrq"](), FixedSplit(0.5)),
+    "bkpq": lambda: bkpq(INSTANCE_FOR["bkpq"](), ThresholdQuery(2.0)),
+    "oaq": lambda: oaq(INSTANCE_FOR["oaq"](), ThresholdQuery(2.0)),
+    "oaq_m": lambda: oaq_m(INSTANCE_FOR["oaq_m"](), 2.0),
+    "crad": lambda: crad(INSTANCE_FOR["crad"](), ThresholdQuery(2.0)),
+    "crcd": lambda: crcd(INSTANCE_FOR["crcd"](), ThresholdQuery(2.0)),
+    "crp2d": lambda: crp2d(INSTANCE_FOR["crp2d"](), ThresholdQuery(2.0)),
+    "clairvoyant": lambda: clairvoyant(INSTANCE_FOR["avrq"](), 2.0),
+    "measure": lambda: measure("avrq", INSTANCE_FOR["avrq"](), 3.0),
+    "measure_many": lambda: measure_many("avrq", [INSTANCE_FOR["avrq"]()], 3.0),
+    "SpeedProfile.from_breakpoints": lambda: SpeedProfile.from_breakpoints(
+        [0.0, 1.0, 3.0], speeds=[2.0, 1.0]
+    ),
 }
 
 
@@ -49,8 +72,8 @@ class TestRegistry:
         assert result.validate().ok
 
     def test_uniform_signatures_keyword_only(self):
-        # Past the instance (and the legacy *args shim slot), every
-        # parameter of every registered runner is keyword-only.
+        # Past the instance, every parameter of every registered runner
+        # is keyword-only.
         for spec in ALGORITHMS.values():
             params = list(inspect.signature(spec.fn).parameters.values())
             assert params[0].kind in (
@@ -58,10 +81,9 @@ class TestRegistry:
                 inspect.Parameter.POSITIONAL_OR_KEYWORD,
             )
             for p in params[1:]:
-                assert p.kind in (
-                    inspect.Parameter.VAR_POSITIONAL,
-                    inspect.Parameter.KEYWORD_ONLY,
-                ), f"{spec.name}.{p.name} is not keyword-only"
+                assert p.kind is inspect.Parameter.KEYWORD_ONLY, (
+                    f"{spec.name}.{p.name} is not keyword-only"
+                )
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(KeyError, match="bkpq"):
@@ -100,38 +122,7 @@ class TestRegistry:
 
 
 class TestDeprecationShims:
-    def test_avrq_positional_split_policy(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="split_policy"):
-            old = avrq(qi, FixedSplit(0.3))
-        new = avrq(qi, split_policy=FixedSplit(0.3))
-        assert old.profile == new.profile
-
-    def test_bkpq_positional_query_policy(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="query_policy"):
-            old = bkpq(qi, ThresholdQuery(2.0))
-        new = bkpq(qi, query_policy=ThresholdQuery(2.0))
-        assert old.profile == new.profile
-
-    def test_oaq_m_positional_alpha(self):
-        qi = generators.multi_machine_instance(5, 2, seed=1)
-        with pytest.warns(DeprecationWarning, match="alpha"):
-            old = oaq_m(qi, 2.0)
-        new = oaq_m(qi, alpha=2.0)
-        assert old.profiles == new.profiles
-
-    def test_clairvoyant_positional_alpha(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="alpha"):
-            old = clairvoyant(qi, 2.0)
-        assert old.energy_value == clairvoyant(qi, alpha=2.0).energy_value
-
-    def test_measure_positional_alpha(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="alpha"):
-            old = measure(avrq, qi, 3.0)
-        assert old.energy_ratio == measure(avrq, qi, alpha=3.0).energy_ratio
+    """The 1.1 positional forms are gone: only keywords reach the options."""
 
     def test_shared_default_alpha_is_consistent(self):
         from repro.core.constants import DEFAULT_ALPHA
@@ -144,7 +135,7 @@ class TestDeprecationShims:
             == DEFAULT_ALPHA
         )
 
-    def test_too_many_positionals_is_a_type_error(self):
-        qi = generators.online_instance(4, seed=0)
-        with pytest.raises(TypeError):
-            avrq(qi, FixedSplit(0.5), "extra")
+    @pytest.mark.parametrize("entry", sorted(ONE_POSITIONAL_TOO_MANY))
+    def test_too_many_positionals_is_a_type_error(self, entry):
+        with pytest.raises(TypeError, match="positional"):
+            ONE_POSITIONAL_TOO_MANY[entry]()

@@ -1,6 +1,8 @@
 """The parallel cached experiment engine and its CLI surface."""
 
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -97,6 +99,43 @@ class TestCache:
         loaded = io.load(path)
         assert isinstance(loaded, ExperimentReport)
         assert loaded.render() == ExperimentReport.from_dict(report.to_dict()).render()
+
+    def test_cache_misses_entries_from_older_numerics(self, tmp_path):
+        """A cache written by code with other last-bit numerics (same package
+        version) must not answer: warm reports stay equal to cold ones."""
+        from repro import __version__
+
+        def pre_revision_key(experiment, resolved):
+            # The key material before NUMERICS_REVISION joined it.
+            material = json.dumps(
+                {
+                    "experiment": experiment,
+                    "kwargs": resolved,
+                    "package_version": __version__,
+                },
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+        cold = run_experiments(["lemma42"], jobs=1, cache=False).reports[0]
+        current, stale = ResultCache(tmp_path / "current"), ResultCache(tmp_path / "stale")
+        run_experiments(["lemma42"], jobs=1, cache_dir=current.root)
+        _, resolved, _ = resolve_kwargs("lemma42")
+        key, old_key = cache_key("lemma42", resolved), pre_revision_key("lemma42", resolved)
+        assert old_key != key
+        entry = current.get(key)
+        payload = entry["report"]
+        for row in payload["rows"]:  # last-ulp drift, as older numerics give
+            row[2] = math.nextafter(row[2], math.inf)
+        stale.put(old_key, "lemma42", entry["params"], payload, 0.0)
+
+        warm = run_experiments(["lemma42"], jobs=1, cache_dir=current.root)
+        assert warm.runs[0].metrics.cache_hit
+        assert warm.reports[0].to_dict() == cold.to_dict()
+        old = run_experiments(["lemma42"], jobs=1, cache_dir=stale.root)
+        assert not old.runs[0].metrics.cache_hit
+        assert old.reports[0].to_dict() == cold.to_dict()
 
 
 class TestParallel:

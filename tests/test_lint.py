@@ -95,6 +95,17 @@ def test_ql002_reports_both_violations():
     assert any("positional defaults" in m for m in messages)
 
 
+def test_ql002_flags_a_bare_varargs_shim():
+    run = run_fixture("QL002", "bad")
+    messages = [
+        f.message for f in run.findings if f.rule == "QL002" and "`shim`" in f.message
+    ]
+    assert messages == [
+        "registered algorithm `shim` accepts `*args`; positional extras must "
+        "be a TypeError, expected (qi, *, ...)"
+    ]
+
+
 def test_ql004_distinguishes_bare_and_swallowed():
     run = run_fixture("QL004", "bad")
     messages = [f.message for f in run.findings if f.rule == "QL004"]

@@ -3,9 +3,10 @@
 The whole point of ``repro.core.profile_kernel`` is that it may not change
 a single bit of any published number — cached engine entries, replay
 reports and golden experiment outputs must survive the swap.  These tests
-pin that:
+pin that against the segment-loop reference in ``tests/_oracles.py``
+(swapped in by ``reference_mode()``):
 
-* hypothesis equality suite — every kernel-dispatched operation on random
+* hypothesis equality suite — every kernel-backed operation on random
   breakpoint profiles equals the pure-Python reference **bit for bit**
   (``struct.pack`` comparison, not ``isclose``);
 * YDS — the vectorised compressed-timeline arithmetic and the
@@ -13,29 +14,39 @@ pin that:
   reproduce the original schedules and profiles exactly;
 * replay byte-identity — a kernel-backed replay serialises to the same
   JSON bytes as the pre-kernel pure-Python path (the acceptance test for
-  ``qbss-replay``).
+  ``qbss-replay``);
+* swap coverage — no ``repro`` module keeps a production binding that
+  ``reference_mode()`` would miss.
 """
 
+import importlib
 import json
+import pkgutil
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import profile_kernel as pk
+import repro
+from _oracles import reference_mode
+from repro.core import profile as profile_mod
 from repro.core.job import Job
 from repro.core.power import PowerFunction
 from repro.core.profile import (
     Segment,
     SpeedProfile,
-    max_profiles,
     profiles_energy,
     profiles_max_speed,
-    sum_profiles,
 )
 from repro.core.qjob import QJob
-from repro.speed_scaling.yds import TimelineCompressor, yds, yds_profile
+from repro.speed_scaling.yds import (
+    TimelineCompressor,
+    _max_intensity,
+    yds,
+    yds_profile,
+)
 
 
 def bits(x: float) -> bytes:
@@ -85,9 +96,9 @@ queries = st.floats(min_value=-6.0, max_value=40.0, allow_nan=False)
 
 
 def both_modes(segs, fn):
-    """Run ``fn`` on a profile built in kernel mode and in pure mode."""
+    """Run ``fn`` on a profile built in kernel mode and in reference mode."""
     kernel = fn(SpeedProfile(segs))
-    with pk.pure_python():
+    with reference_mode():
         reference = fn(SpeedProfile(segs))
     return kernel, reference
 
@@ -145,12 +156,12 @@ class TestKernelEqualsReference:
     @settings(max_examples=100, deadline=None)
     def test_sum_and_max_profiles(self, many):
         ks = [SpeedProfile(s) for s in many]
-        k_sum = profile_bits(sum_profiles(ks))
-        k_max = profile_bits(max_profiles(ks))
-        with pk.pure_python():
+        k_sum = profile_bits(profile_mod.sum_profiles(ks))
+        k_max = profile_bits(profile_mod.max_profiles(ks))
+        with reference_mode():
             rs = [SpeedProfile(s) for s in many]
-            r_sum = profile_bits(sum_profiles(rs))
-            r_max = profile_bits(max_profiles(rs))
+            r_sum = profile_bits(profile_mod.sum_profiles(rs))
+            r_max = profile_bits(profile_mod.max_profiles(rs))
         assert k_sum == r_sum
         assert k_max == r_max
 
@@ -159,7 +170,7 @@ class TestKernelEqualsReference:
     def test_add_and_dominates(self, segs, other):
         k_add = profile_bits(SpeedProfile(segs) + SpeedProfile(other))
         k_dom = SpeedProfile(segs).dominates(SpeedProfile(other))
-        with pk.pure_python():
+        with reference_mode():
             r_add = profile_bits(SpeedProfile(segs) + SpeedProfile(other))
             r_dom = SpeedProfile(segs).dominates(SpeedProfile(other))
         assert k_add == r_add
@@ -171,7 +182,7 @@ class TestKernelEqualsReference:
         power = PowerFunction(alpha)
         ks = [SpeedProfile(s) for s in many]
         k_e, k_s = profiles_energy(ks, power), profiles_max_speed(ks)
-        with pk.pure_python():
+        with reference_mode():
             rs = [SpeedProfile(s) for s in many]
             r_e, r_s = profiles_energy(rs, power), profiles_max_speed(rs)
         assert same_number(k_e, r_e)
@@ -219,7 +230,7 @@ class TestConstructorParity:
             for _ in range(n - 1)
         ]
         k = SpeedProfile.from_breakpoints(times=times, speeds=speeds)
-        with pk.pure_python():
+        with reference_mode():
             r = SpeedProfile.from_breakpoints(times=times, speeds=speeds)
         assert profile_bits(k) == profile_bits(r)
 
@@ -228,7 +239,7 @@ class TestConstructorParity:
             starts=[4.0, 0.0, 1.0], ends=[5.0, 1.0, 2.0], speeds=[2.0, 1.0, 1.0]
         )
         k = SpeedProfile.from_segments(**kwargs)
-        with pk.pure_python():
+        with reference_mode():
             r = SpeedProfile.from_segments(**kwargs)
         assert profile_bits(k) == profile_bits(r)
 
@@ -236,7 +247,7 @@ class TestConstructorParity:
         kwargs = dict(starts=[0.0, 1.0], ends=[2.0, 3.0], speeds=[1.0, 1.0])
         with pytest.raises(ValueError):
             SpeedProfile.from_segments(**kwargs)
-        with pk.pure_python(), pytest.raises(ValueError):
+        with reference_mode(), pytest.raises(ValueError):
             SpeedProfile.from_segments(**kwargs)
 
 
@@ -282,7 +293,7 @@ class TestYDSKernelPaths:
             (bits(s.start), bits(s.end), bits(s.speed), s.job_id)
             for s in k.schedule.slices()
         ]
-        with pk.pure_python():
+        with reference_mode():
             r = yds(jobs)
             r_rows = [
                 (bits(s.start), bits(s.end), bits(s.speed), s.job_id)
@@ -338,7 +349,7 @@ class TestReplayByteIdentity:
         byte-identical to the pre-kernel pure-Python path."""
         from repro.traces.replay import replay_jobs
 
-        with pk.pure_python():
+        with reference_mode():
             golden, _ = replay_jobs(
                 _stream(), algorithms=("avrq", "bkpq"), alpha=3.0,
                 shard_window=600.0, cache=False,
@@ -351,3 +362,31 @@ class TestReplayByteIdentity:
         fresh_bytes = json.dumps(fresh.to_dict(), sort_keys=True)
         assert golden_bytes == fresh_bytes
         assert golden.render() == fresh.render()
+
+
+# -- reference-mode coverage ---------------------------------------------------------
+
+
+class TestReferenceModeCoverage:
+    def test_no_repro_binding_escapes_reference_mode(self):
+        """A new ``from ..core.profile import sum_profiles`` anywhere in
+        ``repro`` must be added to the oracle's swap list, or the equality
+        and byte-identity tests above silently run it on the kernel."""
+        # Import everything first: a module first imported inside
+        # reference_mode() would bind the reference functions for good.
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(info.name)
+        production = {
+            id(profile_mod.sum_profiles): "sum_profiles",
+            id(profile_mod.max_profiles): "max_profiles",
+            id(_max_intensity): "_max_intensity",
+        }
+        with reference_mode():
+            escaped = sorted(
+                f"{name}.{attr} -> {production[id(value)]}"
+                for name, module in list(sys.modules.items())
+                if name == "repro" or name.startswith("repro.")
+                for attr, value in vars(module).items()
+                if id(value) in production
+            )
+        assert escaped == []

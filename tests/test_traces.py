@@ -417,8 +417,8 @@ def test_replay_cache_key_covers_alpha(tmp_path):
 
 
 def _pre_revision_key(jobs_doc, algorithms, alpha):
-    """A shard cache key as written before ``SHARD_NUMERICS_REVISION``
-    joined the key material."""
+    """A shard cache key as written before the numerics revision
+    (``repro.engine.cache.NUMERICS_REVISION``) joined the key material."""
     from repro import __version__
     from repro.traces.replay import REPLAY_FORMAT_VERSION
 
