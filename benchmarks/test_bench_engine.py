@@ -10,7 +10,7 @@ visible in the bench results.
 
 import time
 
-from repro.engine import map_measure, run_experiments
+from repro.engine import ExecutionSession, map_measure, run_experiments
 from repro.workloads.generators import online_instance
 
 NAMES = ["lemma42", "lemma43", "lemma44", "rho", "figure1"]
@@ -18,11 +18,11 @@ NAMES = ["lemma42", "lemma43", "lemma44", "rho", "figure1"]
 
 def test_bench_warm_cache_under_20_percent_of_cold(tmp_path):
     t0 = time.perf_counter()
-    cold = run_experiments(NAMES, jobs=1, cache_dir=tmp_path)
+    cold = run_experiments(NAMES, session=ExecutionSession(jobs=1, cache_dir=tmp_path))
     cold_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    warm = run_experiments(NAMES, jobs=1, cache_dir=tmp_path)
+    warm = run_experiments(NAMES, session=ExecutionSession(jobs=1, cache_dir=tmp_path))
     warm_wall = time.perf_counter() - t0
 
     assert cold.misses == len(NAMES) and warm.hits == len(NAMES)
@@ -38,7 +38,8 @@ def test_bench_cold_run(benchmark, tmp_path):
 
     def cold():
         return run_experiments(
-            ["lemma42", "rho"], jobs=1, cache_dir=tmp_path / str(next(counter))
+            ["lemma42", "rho"],
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path / str(next(counter))),
         )
 
     result = benchmark(cold)
@@ -46,10 +47,14 @@ def test_bench_cold_run(benchmark, tmp_path):
 
 
 def test_bench_warm_run(benchmark, tmp_path):
-    run_experiments(["lemma42", "rho"], jobs=1, cache_dir=tmp_path)  # prime
+    run_experiments(
+        ["lemma42", "rho"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+    )  # prime
 
     def warm():
-        return run_experiments(["lemma42", "rho"], jobs=1, cache_dir=tmp_path)
+        return run_experiments(
+            ["lemma42", "rho"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
 
     result = benchmark(warm)
     assert result.hits == 2

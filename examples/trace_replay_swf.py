@@ -21,6 +21,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from repro.engine import ExecutionSession
 from repro.traces import replay_trace
 from repro.workloads import write_synthetic_swf
 
@@ -47,7 +48,7 @@ def main() -> None:
                 seed=0,
                 shard_window=SHARD_WINDOW,
                 alpha=ALPHA,
-                cache_dir=cache_dir,
+                session=ExecutionSession(cache_dir=cache_dir),
             )
             print(report.render(max_shard_rows=5))
             print(metrics.footer())
@@ -60,7 +61,7 @@ def main() -> None:
             seed=0,
             shard_window=SHARD_WINDOW,
             alpha=ALPHA,
-            cache_dir=cache_dir,
+            session=ExecutionSession(cache_dir=cache_dir),
         )
         report_warm, metrics_warm = replay_trace(
             trace,
@@ -68,7 +69,7 @@ def main() -> None:
             seed=0,
             shard_window=SHARD_WINDOW,
             alpha=ALPHA,
-            cache_dir=cache_dir,
+            session=ExecutionSession(cache_dir=cache_dir),
         )
         identical = json.dumps(report_cold.to_dict(), sort_keys=True) == (
             json.dumps(report_warm.to_dict(), sort_keys=True)

@@ -267,6 +267,30 @@ def _retry_policy(parser: argparse.ArgumentParser, args: argparse.Namespace):
         parser.error(str(exc))
 
 
+def _session(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    jobs: int,
+    backend: str | None,
+    tracer,
+    registry,
+):
+    """The one :class:`~repro.engine.ExecutionSession` a CLI run executes
+    under, built from the shared execution flags."""
+    from .engine import ExecutionSession
+
+    return ExecutionSession(
+        jobs=jobs,
+        cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        task_timeout=args.task_timeout,
+        retry=_retry_policy(parser, args),
+        tracer=tracer,
+        metrics=registry,
+        backend=backend,
+    )
+
+
 def _overrides_from_args(args: argparse.Namespace) -> dict:
     """The CLI's global keyword overrides, in experiment-kwargs form."""
     overrides = {}
@@ -408,18 +432,8 @@ def _main(argv: list[str] | None = None) -> int:
     backend, jobs = _backend_arg(parser, args, jobs)
     tracer, registry, started_at = _obs_setup(args)
     try:
-        result = run_experiments(
-            names,
-            overrides,
-            jobs=jobs,
-            cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            task_timeout=args.task_timeout,
-            retry=_retry_policy(parser, args),
-            tracer=tracer,
-            metrics=registry,
-            backend=backend,
-        )
+        with _session(parser, args, jobs, backend, tracer, registry) as session:
+            result = run_experiments(names, overrides, session=session)
     except BaseException:
         if tracer is not None:
             tracer.close()
@@ -666,26 +680,20 @@ def _replay_main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
     try:
-        report, metrics = replay_trace(
-            args.trace,
-            trace_format=args.format,
-            noise_model=args.noise_model,
-            seed=args.seed,
-            deadline_slack=args.deadline_slack,
-            limit=args.limit,
-            algorithms=algorithms,
-            alpha=args.alpha,
-            shard_window=args.shard_window,
-            jobs=jobs,
-            cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            task_timeout=args.task_timeout,
-            retry=_retry_policy(parser, args),
-            tracer=tracer,
-            metrics=registry,
-            backend=backend,
-            checkpoint=checkpoint,
-        )
+        with _session(parser, args, jobs, backend, tracer, registry) as session:
+            report, metrics = replay_trace(
+                args.trace,
+                trace_format=args.format,
+                noise_model=args.noise_model,
+                seed=args.seed,
+                deadline_slack=args.deadline_slack,
+                limit=args.limit,
+                algorithms=algorithms,
+                alpha=args.alpha,
+                shard_window=args.shard_window,
+                session=session,
+                checkpoint=checkpoint,
+            )
     except (TraceParseError, TraceOrderError, ValueError) as exc:
         if tracer is not None:
             tracer.close()

@@ -14,12 +14,13 @@ corrupt cache entries, and a deterministic fault-injection harness
 
 Quick start::
 
-    from repro.engine import RetryPolicy, run_experiments
+    from repro.engine import ExecutionSession, RetryPolicy, run_experiments
 
-    result = run_experiments(
-        ["rho", "lemma42"], jobs=2, task_timeout=300.0,
-        retry=RetryPolicy(max_attempts=3),
+    session = ExecutionSession(
+        jobs=2, task_timeout=300.0, retry=RetryPolicy(max_attempts=3)
     )
+    with session:
+        result = run_experiments(["rho", "lemma42"], session=session)
     for run in result.runs:
         print(run.name, run.metrics.wall_time, run.metrics.cache_hit)
     print(result.footer())
@@ -68,7 +69,7 @@ from .runner import (
     resolve_jobs,
     run_experiments,
 )
-from .session import UNSET, ExecutionSession, session_from_kwargs
+from .session import ExecutionSession
 
 __all__ = [
     "Backend",
@@ -105,7 +106,5 @@ __all__ = [
     "map_measure",
     "resolve_jobs",
     "run_experiments",
-    "UNSET",
     "ExecutionSession",
-    "session_from_kwargs",
 ]

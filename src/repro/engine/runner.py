@@ -45,11 +45,6 @@ from ..analysis.experiments import REGISTRY, ExperimentReport, resolve_kwargs
 if TYPE_CHECKING:
     from ..analysis.ratios import RatioMeasurement
     from .session import ExecutionSession
-
-#: Sentinel for legacy kwargs: distinguishes "not passed" from an explicit
-#: ``None`` so :func:`repro.engine.session.session_from_kwargs` can tell
-#: which values should override an explicit session.
-_UNSET: Any = object()
 from ..core.constants import DEFAULT_ALPHA
 from .backends.base import Backend, BackendBroken
 from .cache import ResultCache, cache_key
@@ -720,33 +715,66 @@ def _put_with_retry(
             attempt += 1
 
 
+def _cache_lookup(
+    store: ResultCache,
+    key: str,
+    task_key: str,
+    tracer: Any | None,
+    parent_span: Any | None,
+) -> tuple[dict[str, Any] | None, int]:
+    """Read ``key`` under a ``cache-lookup`` span.
+
+    Returns the entry (``None`` on a miss) and the number of corrupt
+    entries the read quarantined, each also traced as a
+    ``cache_quarantine`` event.
+    """
+    before = store.quarantined
+    span = (
+        tracer.begin("cache-lookup", parent_span, task=task_key)
+        if tracer is not None
+        else None
+    )
+    entry = store.get(key)
+    quarantined = store.quarantined - before
+    if tracer is not None:
+        for _ in range(quarantined):
+            tracer.event("cache_quarantine", span, task=task_key)
+        tracer.end(span, result="hit" if entry is not None else "miss")
+    return entry, quarantined
+
+
+def _cache_write(
+    store: ResultCache,
+    retry: RetryPolicy,
+    plan: FaultPlan | None,
+    task: HardenedTask,
+    args: tuple,
+) -> None:
+    """Store a task's result (:func:`_put_with_retry`), then apply the
+    ``corrupt-cache``/``torn-write`` faults ``plan`` holds for this attempt."""
+    path = _put_with_retry(store, retry, task.task_key, args)
+    if path is None or plan is None:
+        return
+    if plan.wants_corrupt_cache(task.task_key, task.attempt):
+        corrupt_cache_entry(path)
+    if plan.wants_torn_write(task.task_key, task.attempt):
+        torn_write_entry(path)
+
+
 def run_experiments(
     names: Sequence[str],
     overrides: dict[str, dict] | None = None,
     *,
     session: "ExecutionSession | None" = None,
-    jobs: int | str = _UNSET,
-    cache: bool = _UNSET,
-    cache_dir: str | Path | None = _UNSET,
-    package_version: str | None = _UNSET,
-    task_timeout: float | None = _UNSET,
-    retry: RetryPolicy | None = _UNSET,
-    fault_plan: FaultPlan | None = _UNSET,
-    tracer: Any | None = _UNSET,
-    metrics: Any | None = _UNSET,
-    backend: "str | Backend | None" = _UNSET,
 ) -> EngineResult:
     """Evaluate ``names`` (registry keys), parallel, cached and fault tolerant.
 
     ``overrides`` maps an experiment name to keyword-argument overrides
     (already validated — see :func:`repro.analysis.experiments.resolve_kwargs`).
     ``session`` (an :class:`~repro.engine.session.ExecutionSession`)
-    carries the execution context — pool size, cache, hardening and
-    observability — and can be shared across calls (one cache handle, one
-    tracer).  The individual kwargs below remain as the legacy spelling:
-    without a session they construct one ad hoc (pre-1.2 behaviour);
-    combined with an explicit session they are deprecated pass-throughs
-    that override its fields for this call.
+    carries the execution context and can be shared across calls (one
+    cache handle, one tracer); ``None`` means a default session that this
+    call opens and closes.  The session's fields act as follows.
 
     ``jobs > 1`` dispatches cache misses to a process pool; hits are served
     in-process; ``jobs=0`` or ``"auto"`` means one worker per CPU (see
@@ -774,26 +802,14 @@ def run_experiments(
     optional, cost nothing when omitted, and never touch report payloads —
     outputs are byte-identical with observability on or off.
     """
-    from .session import session_from_kwargs
+    from .session import ExecutionSession
 
     # Sessions built here (no caller session) are closed before returning:
     # backend capacity — pool workers, warm remote links — must not outlive
     # the call unless the caller owns the session.
     owns_session = session is None
-    session = session_from_kwargs(
-        session,
-        warn_name="run_experiments",
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        package_version=package_version,
-        task_timeout=task_timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        tracer=tracer,
-        metrics=metrics,
-        backend=backend,
-    )
+    if session is None:
+        session = ExecutionSession()
     jobs = session.pool_jobs
     package_version = session.package_version
     task_timeout = session.task_timeout
@@ -825,21 +841,9 @@ def run_experiments(
             key = cache_key(name, resolved, package_version)
             if store is not None:
                 start = time.perf_counter()
-                before_q = store.quarantined
-                lookup_span = (
-                    tracer.begin("cache-lookup", batch_span, task=name)
-                    if tracer is not None
-                    else None
+                entry, quarantined = _cache_lookup(
+                    store, key, name, tracer, batch_span
                 )
-                entry = store.get(key)
-                quarantined = store.quarantined - before_q
-                if tracer is not None:
-                    for _ in range(quarantined):
-                        tracer.event("cache_quarantine", lookup_span, task=name)
-                    tracer.end(
-                        lookup_span,
-                        result="hit" if entry is not None else "miss",
-                    )
                 if entry is not None:
                     report = ExperimentReport.from_dict(entry["report"])
                     runs[i] = ExperimentRun(
@@ -877,10 +881,11 @@ def run_experiments(
             payload = outcome["payload"]
             report = ExperimentReport.from_dict(payload)
             if store is not None:
-                path = _put_with_retry(
+                _cache_write(
                     store,
                     retry,
-                    task.task_key,
+                    plan,
+                    task,
                     (
                         task.key,
                         task.name,
@@ -890,18 +895,6 @@ def run_experiments(
                         package_version,
                     ),
                 )
-                if (
-                    path is not None
-                    and plan is not None
-                    and plan.wants_corrupt_cache(task.task_key, task.attempt)
-                ):
-                    corrupt_cache_entry(path)
-                if (
-                    path is not None
-                    and plan is not None
-                    and plan.wants_torn_write(task.task_key, task.attempt)
-                ):
-                    torn_write_entry(path)
             metrics = RunMetrics(
                 experiment=task.name,
                 wall_time=sum(task.walls),

@@ -12,15 +12,13 @@ configuration, cache handle and observability sinks are shared — the
 prerequisite shape for a long-lived ``qbss-serve`` process, where a single
 session must outlive many requests.
 
-The legacy keyword arguments on the entry points still work; passing them
-*alongside* an explicit ``session=`` is deprecated (the values override
-the session's fields for that call, with a :class:`DeprecationWarning`).
+``session=`` is the entry points' only execution parameter; omitting it
+means a default ``ExecutionSession()`` that the call opens and closes.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 from collections.abc import Callable, Iterable
@@ -29,24 +27,18 @@ from .backends.base import Backend, create_backend, parse_backend_spec
 from .cache import ResultCache
 from .faults import FaultPlan, RetryPolicy
 from .runner import (
-    _UNSET,
     ExecutionStats,
     HardenedTask,
     execute_hardened,
     resolve_jobs,
 )
 
-#: Sentinel distinguishing "caller did not pass this legacy kwarg" from an
-#: explicit ``None`` (several knobs have ``None`` as a meaningful value).
-#: Shared with the entry points' keyword defaults in ``runner.py``.
-UNSET: Any = _UNSET
-
 
 @dataclass
 class ExecutionSession:
     """The execution context shared by engine and replay runs.
 
-    Fields mirror the legacy per-call kwargs one for one:
+    Fields:
 
     * ``jobs`` — pool size request (``int``, ``0``/``"auto"`` = per-CPU);
     * ``cache``/``cache_dir``/``package_version`` — the content-addressed
@@ -196,32 +188,3 @@ class ExecutionSession:
             trace_parent=trace_parent,
             backend=self.execution_backend,
         )
-
-
-def session_from_kwargs(
-    session: ExecutionSession | None,
-    *,
-    warn_name: str,
-    **legacy: Any,
-) -> ExecutionSession:
-    """Merge an optional explicit session with legacy per-call kwargs.
-
-    ``legacy`` values equal to :data:`UNSET` were not passed by the
-    caller.  Without a session, the explicit kwargs simply construct one
-    (the pre-1.2 behaviour, no warning).  With a session, explicit kwargs
-    are deprecated pass-throughs: they override the session's fields for
-    this call behind a :class:`DeprecationWarning` naming the new form.
-    """
-    explicit = {k: v for k, v in legacy.items() if v is not UNSET}
-    if session is None:
-        return ExecutionSession(**explicit)
-    if explicit:
-        names = ", ".join(sorted(explicit))
-        warnings.warn(
-            f"passing {names} to {warn_name}() alongside session= is "
-            f"deprecated; set them on the ExecutionSession instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(session, **explicit)
-    return session

@@ -13,6 +13,7 @@ from repro.analysis.experiments import (
     resolve_kwargs,
 )
 from repro.engine import (
+    ExecutionSession,
     ResultCache,
     cache_key,
     map_measure,
@@ -50,44 +51,67 @@ class TestKwargResolution:
 
 class TestCache:
     def test_same_key_hit_is_byte_identical(self, tmp_path):
-        cold = run_experiments(FAST, jobs=1, cache_dir=tmp_path)
-        warm = run_experiments(FAST, jobs=1, cache_dir=tmp_path)
+        cold = run_experiments(
+            FAST, session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
+        warm = run_experiments(
+            FAST, session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert [r.metrics.cache_hit for r in cold.runs] == [False, False]
         assert [r.metrics.cache_hit for r in warm.runs] == [True, True]
         for a, b in zip(cold.reports, warm.reports):
             assert a.render() == b.render()
 
     def test_changed_kwargs_miss(self, tmp_path):
-        run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         again = run_experiments(
-            ["lemma42"], {"lemma42": {"alpha": 2.0}}, jobs=1, cache_dir=tmp_path
+            ["lemma42"],
+            {"lemma42": {"alpha": 2.0}},
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path),
         )
         assert not again.runs[0].metrics.cache_hit
 
     def test_bumped_package_version_misses(self, tmp_path):
         run_experiments(
-            ["lemma42"], jobs=1, cache_dir=tmp_path, package_version="1.0.0"
+            ["lemma42"],
+            session=ExecutionSession(
+                jobs=1, cache_dir=tmp_path, package_version="1.0.0"
+            ),
         )
         again = run_experiments(
-            ["lemma42"], jobs=1, cache_dir=tmp_path, package_version="9.9.9"
+            ["lemma42"],
+            session=ExecutionSession(
+                jobs=1, cache_dir=tmp_path, package_version="9.9.9"
+            ),
         )
         assert not again.runs[0].metrics.cache_hit
 
     def test_no_cache_bypasses_reads_and_writes(self, tmp_path):
-        run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         store = ResultCache(tmp_path)
         assert len(store) == 1
-        off = run_experiments(["lemma42"], jobs=1, cache=False, cache_dir=tmp_path)
+        off = run_experiments(
+            ["lemma42"],
+            session=ExecutionSession(jobs=1, cache=False, cache_dir=tmp_path),
+        )
         assert not off.runs[0].metrics.cache_hit
         assert len(store) == 1  # nothing new written
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         store = ResultCache(tmp_path)
         (path,) = list(tmp_path.glob("*/*.json"))
         path.write_text("{not json")
         assert store.get(path.stem) is None
-        again = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        again = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert not again.runs[0].metrics.cache_hit
 
     def test_cached_report_loads_via_io(self, tmp_path):
@@ -118,9 +142,13 @@ class TestCache:
             )
             return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
-        cold = run_experiments(["lemma42"], jobs=1, cache=False).reports[0]
+        cold = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache=False)
+        ).reports[0]
         current, stale = ResultCache(tmp_path / "current"), ResultCache(tmp_path / "stale")
-        run_experiments(["lemma42"], jobs=1, cache_dir=current.root)
+        run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=current.root)
+        )
         _, resolved, _ = resolve_kwargs("lemma42")
         key, old_key = cache_key("lemma42", resolved), pre_revision_key("lemma42", resolved)
         assert old_key != key
@@ -130,10 +158,14 @@ class TestCache:
             row[2] = math.nextafter(row[2], math.inf)
         stale.put(old_key, "lemma42", entry["params"], payload, 0.0)
 
-        warm = run_experiments(["lemma42"], jobs=1, cache_dir=current.root)
+        warm = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=current.root)
+        )
         assert warm.runs[0].metrics.cache_hit
         assert warm.reports[0].to_dict() == cold.to_dict()
-        old = run_experiments(["lemma42"], jobs=1, cache_dir=stale.root)
+        old = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=stale.root)
+        )
         assert not old.runs[0].metrics.cache_hit
         assert old.reports[0].to_dict() == cold.to_dict()
 
@@ -141,17 +173,21 @@ class TestCache:
 class TestParallel:
     def test_jobs4_output_equals_serial(self, tmp_path):
         serial = run_experiments(
-            FAST + ["lemma43"], jobs=1, cache_dir=tmp_path / "a"
+            FAST + ["lemma43"],
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path / "a"),
         )
         parallel = run_experiments(
-            FAST + ["lemma43"], jobs=4, cache_dir=tmp_path / "b"
+            FAST + ["lemma43"],
+            session=ExecutionSession(jobs=4, cache_dir=tmp_path / "b"),
         )
         assert [r.name for r in serial.runs] == [r.name for r in parallel.runs]
         for a, b in zip(serial.reports, parallel.reports):
             assert a.render() == b.render()
 
     def test_metrics_are_recorded(self, tmp_path):
-        result = run_experiments(FAST, jobs=2, cache_dir=tmp_path)
+        result = run_experiments(
+            FAST, session=ExecutionSession(jobs=2, cache_dir=tmp_path)
+        )
         for run in result.runs:
             assert run.metrics.wall_time >= 0.0
             assert run.metrics.rows > 0
@@ -166,7 +202,9 @@ class TestParallel:
             raise RuntimeError("kaboom")
 
         monkeypatch.setitem(REGISTRY, "lemma42", boom)
-        result = run_experiments(FAST, jobs=1, cache_dir=tmp_path)
+        result = run_experiments(
+            FAST, session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         failed, ok = result.runs
         assert not failed.ok and "kaboom" in failed.metrics.error
         assert ok.ok

@@ -6,6 +6,7 @@ The process-pool tests honor ``QBSS_TEST_JOBS`` (``serial`` | an integer |
 the default is the mode each test was written for.
 """
 
+import errno
 import json
 import os
 import time
@@ -18,6 +19,7 @@ import pytest
 from repro.cli import main, replay_main
 from repro.engine import (
     QUARANTINE_DIRNAME,
+    ExecutionSession,
     FailureInfo,
     FaultPlan,
     FaultSpec,
@@ -52,11 +54,13 @@ def matrix_jobs(default):
     return int(raw)
 
 
-def run_quiet(names, **kwargs):
+def run_quiet(names, **session_fields):
     """run_experiments with degradation warnings silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_experiments(names, retry=QUICK, **kwargs)
+        return run_experiments(
+            names, session=ExecutionSession(retry=QUICK, **session_fields)
+        )
 
 
 @pytest.fixture
@@ -216,7 +220,9 @@ class TestExecuteBaseException:
 
 class TestQuarantine:
     def _seed_entry(self, tmp_path):
-        result = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        result = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         store = ResultCache(tmp_path)
         (path,) = [p for p, _, _ in store.entries()]
         return result, store, path
@@ -225,7 +231,9 @@ class TestQuarantine:
         cold, store, path = self._seed_entry(tmp_path)
         raw = path.read_text()
         path.write_text(raw[: len(raw) // 3])  # truncated mid-write
-        again = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        again = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert not again.runs[0].metrics.cache_hit
         assert again.runs[0].metrics.quarantined == 1
         assert again.quarantined == 1
@@ -233,7 +241,9 @@ class TestQuarantine:
         assert len(moved) == 1  # preserved for post-mortem, not deleted
         assert moved[0].read_text() == raw[: len(raw) // 3]
         # the recomputed entry is identical and hits next time
-        warm = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        warm = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert warm.runs[0].metrics.cache_hit
         assert warm.reports[0].render() == cold.reports[0].render()
 
@@ -275,7 +285,9 @@ class TestQuarantine:
         )
         assert first.runs[0].metrics.status == "ok"
         # the write was corrupted after the fact -> next run quarantines it
-        again = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        again = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert not again.runs[0].metrics.cache_hit
         assert again.quarantined == 1
         assert first.reports[0].render() == again.reports[0].render()
@@ -288,12 +300,16 @@ class TestQuarantine:
             ["lemma42"], jobs=1, cache_dir=tmp_path, fault_plan=plan
         )
         assert first.runs[0].metrics.status == "ok"
-        again = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        again = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert not again.runs[0].metrics.cache_hit
         assert again.quarantined == 1
         assert first.reports[0].render() == again.reports[0].render()
         # the recomputed (intact) entry hits next time
-        warm = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        warm = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert warm.runs[0].metrics.cache_hit
 
     def test_put_fsyncs_before_atomic_replace(self, tmp_path, monkeypatch):
@@ -381,7 +397,8 @@ class TestEngineFaults:
             assert len(info.wall_times) == info.attempts
         assert sorted(r.id for r in res.reports) == ["L41", "L43", "L45"]
         baseline = run_experiments(
-            ["lemma41", "lemma43", "lemma45"], jobs=1, cache=False
+            ["lemma41", "lemma43", "lemma45"],
+            session=ExecutionSession(jobs=1, cache=False),
         )
         by_id = {r.id: r for r in baseline.reports}
         for rep in res.reports:
@@ -392,7 +409,8 @@ class TestEngineFaults:
         # the three survivors were cached; the crashed two were not
         assert len(ResultCache(tmp_path)) == 3
         rerun = run_experiments(
-            ["lemma41", "lemma43", "lemma45"], jobs=1, cache_dir=tmp_path
+            ["lemma41", "lemma43", "lemma45"],
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path),
         )
         assert all(r.metrics.cache_hit for r in rerun.runs)
 
@@ -517,11 +535,9 @@ class TestHardenedDriver:
             warnings.simplefilter("ignore", RuntimeWarning)
             res = run_experiments(
                 ["rho", "lemma42"],
-                jobs=2,
-                cache=False,
-                task_timeout=0.5,
-                retry=policy,
-                fault_plan=plan,
+                session=ExecutionSession(
+                    jobs=2, cache=False, task_timeout=0.5, retry=policy, fault_plan=plan
+                ),
             )
         assert res.retries == 1
         assert res.timeouts == 1
@@ -674,7 +690,9 @@ class TestReplayFaults:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             base, _ = replay_jobs(
-                jobs_stream(), shard_window=2.0, jobs=1, cache=False
+                jobs_stream(),
+                shard_window=2.0,
+                session=ExecutionSession(jobs=1, cache=False),
             )
             plan = FaultPlan(
                 (FaultSpec(task="shard:1", kind="hang", attempt=0, seconds=30.0),)
@@ -682,11 +700,13 @@ class TestReplayFaults:
             rep, metrics = replay_jobs(
                 jobs_stream(),
                 shard_window=2.0,
-                jobs=max(2, matrix_jobs(2)),
-                cache=False,
-                task_timeout=0.5,
-                retry=QUICK,
-                fault_plan=plan,
+                session=ExecutionSession(
+                    jobs=max(2, matrix_jobs(2)),
+                    cache=False,
+                    task_timeout=0.5,
+                    retry=QUICK,
+                    fault_plan=plan,
+                ),
             )
         assert metrics.timeouts == 1
         statuses = {s["index"]: s.get("status", "ok") for s in rep.shards}
@@ -703,6 +723,37 @@ class TestReplayFaults:
             assert json.dumps(canon_clean, sort_keys=True) == json.dumps(
                 canon_fault, sort_keys=True
             )
+
+    def test_failed_cache_write_continues_uncached(
+        self, tmp_path, no_env_plan, jobs_stream, monkeypatch
+    ):
+        """A shard cache write that keeps failing is retried under the
+        policy, then skipped with a warning: the replay still finishes with
+        every shard ``ok`` and nothing cached."""
+
+        def disk_full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultCache, "put", disk_full)
+            with pytest.warns(RuntimeWarning, match="continuing uncached"):
+                rep, metrics = replay_jobs(
+                    jobs_stream(),
+                    shard_window=2.0,
+                    session=ExecutionSession(
+                        jobs=matrix_jobs(2), cache_dir=tmp_path, retry=QUICK
+                    ),
+                )
+        assert metrics.shards > 1
+        assert [s["status"] for s in rep.shards] == ["ok"] * metrics.shards
+        assert metrics.failures == []
+        _, again = replay_jobs(
+            jobs_stream(),
+            shard_window=2.0,
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK),
+        )
+        assert again.hits == 0
+        assert again.misses == again.shards == metrics.shards
 
     def test_replay_cli_exits_one_on_failed_shard(
         self, tmp_path, monkeypatch, capsys

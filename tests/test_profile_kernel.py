@@ -41,6 +41,7 @@ from repro.core.profile import (
     profiles_max_speed,
 )
 from repro.core.qjob import QJob
+from repro.engine import ExecutionSession
 from repro.speed_scaling.yds import (
     TimelineCompressor,
     _max_intensity,
@@ -351,12 +352,18 @@ class TestReplayByteIdentity:
 
         with reference_mode():
             golden, _ = replay_jobs(
-                _stream(), algorithms=("avrq", "bkpq"), alpha=3.0,
-                shard_window=600.0, cache=False,
+                _stream(),
+                algorithms=("avrq", "bkpq"),
+                alpha=3.0,
+                shard_window=600.0,
+                session=ExecutionSession(cache=False),
             )
         fresh, _ = replay_jobs(
-            _stream(), algorithms=("avrq", "bkpq"), alpha=3.0,
-            shard_window=600.0, cache=False,
+            _stream(),
+            algorithms=("avrq", "bkpq"),
+            alpha=3.0,
+            shard_window=600.0,
+            session=ExecutionSession(cache=False),
         )
         golden_bytes = json.dumps(golden.to_dict(), sort_keys=True)
         fresh_bytes = json.dumps(fresh.to_dict(), sort_keys=True)

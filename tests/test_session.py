@@ -1,6 +1,8 @@
-"""ExecutionSession: the shared execution-context object and its migration shims."""
+"""ExecutionSession: the shared execution-context object, the entry points'
+only execution parameter."""
 
-import warnings
+import dataclasses
+import inspect
 
 import pytest
 
@@ -8,8 +10,8 @@ from repro.engine import (
     ExecutionSession,
     RetryPolicy,
     run_experiments,
-    session_from_kwargs,
 )
+from repro.traces.replay import replay_jobs, replay_trace
 
 FAST = ["lemma42", "rho"]
 QUICK = RetryPolicy(max_attempts=2, backoff_base=0.0, backoff_cap=0.0)
@@ -115,47 +117,19 @@ class TestLifecycle:
         assert s._store is None
 
 
-class TestSessionFromKwargs:
-    def test_no_session_builds_one_without_warning(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = session_from_kwargs(
-                None, warn_name="f", jobs=2, cache_dir=tmp_path
-            )
-        assert s.pool_jobs == 2
-        assert s.cache_dir == tmp_path
-
-    def test_session_passthrough_untouched(self):
-        base = ExecutionSession(jobs=2)
-        assert session_from_kwargs(base, warn_name="f") is base
-
-    def test_legacy_kwargs_alongside_session_warn_and_override(self):
-        base = ExecutionSession(jobs=2, task_timeout=30.0)
-        with pytest.warns(DeprecationWarning, match="jobs.*replay_jobs"):
-            merged = session_from_kwargs(base, warn_name="replay_jobs", jobs=4)
-        assert merged.pool_jobs == 4
-        assert merged.task_timeout == 30.0  # untouched fields carried over
-        assert base.pool_jobs == 2  # original session unchanged
-
-    def test_unset_kwargs_do_not_warn(self):
-        from repro.engine import UNSET
-
-        base = ExecutionSession()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert session_from_kwargs(base, warn_name="f", jobs=UNSET) is base
-
-
 class TestEntryPoints:
     def test_run_experiments_accepts_session(self, tmp_path):
-        session = ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK)
-        via_session = run_experiments(FAST, session=session)
-        via_kwargs = run_experiments(
-            FAST, jobs=1, cache_dir=tmp_path, retry=QUICK
+        first = run_experiments(
+            FAST,
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK),
         )
-        assert [r.name for r in via_session.runs] == [r.name for r in via_kwargs.runs]
-        assert [r.metrics.status for r in via_session.runs] == ["ok", "ok"]
-        for a, b in zip(via_session.reports, via_kwargs.reports):
+        second = run_experiments(
+            FAST,
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK),
+        )
+        assert [r.name for r in first.runs] == [r.name for r in second.runs]
+        assert [r.metrics.status for r in first.runs] == ["ok", "ok"]
+        for a, b in zip(first.reports, second.reports):
             assert a.render() == b.render()
 
     def test_session_reuse_shares_cache(self, tmp_path):
@@ -164,14 +138,6 @@ class TestEntryPoints:
         warm = run_experiments(FAST, session=session)
         assert [r.metrics.cache_hit for r in cold.runs] == [False, False]
         assert [r.metrics.cache_hit for r in warm.runs] == [True, True]
-
-    def test_legacy_kwarg_with_session_warns(self, tmp_path):
-        session = ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK)
-        with pytest.warns(DeprecationWarning, match="run_experiments"):
-            result = run_experiments(
-                ["lemma42"], session=session, package_version="x.y.z"
-            )
-        assert result.runs[0].metrics.status == "ok"
 
     def test_replay_jobs_accepts_session(self, tmp_path):
         from repro.core.qjob import QJob
@@ -199,3 +165,43 @@ class TestEntryPoints:
         _, m2 = replay_jobs(stream(), session=session)
         assert m1.quarantined == 0
         assert m2.quarantined == 0
+
+
+#: The three execution entry points, each called with one trivial input.
+ENTRY_POINTS = {
+    "run_experiments": lambda **kw: run_experiments(["lemma42"], **kw),
+    "replay_jobs": lambda **kw: replay_jobs(iter(()), **kw),
+    "replay_trace": lambda **kw: replay_trace("unused.csv", **kw),
+}
+#: The per-call execution kwargs the entry points no longer take.
+REMOVED_KWARGS = (
+    "jobs",
+    "cache",
+    "cache_dir",
+    "package_version",
+    "task_timeout",
+    "retry",
+    "fault_plan",
+    "tracer",
+    "metrics",
+    "backend",
+)
+SESSION_FIELDS = {f.name for f in dataclasses.fields(ExecutionSession)}
+
+
+class TestOneExecutionParameter:
+    """``session=`` is the only way to configure execution."""
+
+    @pytest.mark.parametrize("name", REMOVED_KWARGS)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_removed_kwarg_is_a_type_error(self, entry, name):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            ENTRY_POINTS[entry](**{name: None})
+
+    @pytest.mark.parametrize(
+        "func", [run_experiments, replay_jobs, replay_trace], ids=lambda f: f.__name__
+    )
+    def test_no_parameter_shadows_a_session_field(self, func):
+        params = inspect.signature(func).parameters
+        assert "session" in params
+        assert not set(params) & SESSION_FIELDS
